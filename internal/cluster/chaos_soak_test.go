@@ -15,16 +15,16 @@ import (
 	"fcma/internal/mpi"
 )
 
-// TestChaosSoakCompletesCheckpointedAnalysis is the end-to-end proof of the
+// TestChaosSoakCompletesJournaledAnalysis is the end-to-end proof of the
 // fault-tolerance layer: a TCP cluster of one stable worker plus a churning
 // pool of chaos-wrapped workers (seeded injection of drops, delays,
 // duplicates, transport errors, disconnects, and hangs — and worker-side
-// task failures on top) must still complete a full checkpointed analysis
-// with exactly one correct score per voxel.
+// task failures on top) must still complete a full journaled analysis
+// with exactly one correct score per voxel, every one of them durable.
 //
 // Skipped under -short so the fast tier stays fast; `make check` runs it
 // with the race detector.
-func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
+func TestChaosSoakCompletesJournaledAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
@@ -56,11 +56,11 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "soak.csv"))
+	jn, err := OpenJournal(filepath.Join(t.TempDir(), "soak.jnl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
+	defer jn.Close()
 
 	var (
 		done     atomic.Bool
@@ -153,7 +153,7 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	scores, err := RunMasterOpts(master, st.N, 3, MasterOptions{
-		Checkpoint:       cp,
+		Journal:          jn,
 		TaskDeadline:     150 * time.Millisecond,
 		HeartbeatTimeout: 300 * time.Millisecond,
 		TaskRetries:      100,
@@ -177,8 +177,8 @@ func TestChaosSoakCompletesCheckpointedAnalysis(t *testing.T) {
 			t.Fatalf("voxel %d: %+v, want %+v (chaos must not corrupt results)", i, s, ref[i])
 		}
 	}
-	if cp.Done() != st.N {
-		t.Fatalf("checkpoint holds %d of %d voxels", cp.Done(), st.N)
+	if jn.Done() != st.N {
+		t.Fatalf("journal holds %d of %d voxels", jn.Done(), st.N)
 	}
 }
 

@@ -95,10 +95,6 @@ type ContextProcessor interface {
 // the liveness machinery off (no heartbeat tracking, no task deadlines)
 // and uses default retry budgets.
 type MasterOptions struct {
-	// Checkpoint, when non-nil, provides durable progress: completed tasks
-	// are recorded before the next assignment and covered tasks are
-	// skipped on resume.
-	Checkpoint *Checkpoint
 	// Journal, when non-nil, is the master's write-ahead log: assignments
 	// and completions (with their merged result blocks) are recorded as
 	// they happen, completions durably before the master acts on them. A
@@ -196,8 +192,8 @@ func RunMasterOpts(tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptio
 
 // RunMasterCtx is RunMasterOpts with cooperative cancellation: when ctx is
 // cancelled the master broadcasts TagStop to every known rank (so workers
-// shut down instead of blocking on their next task), records any
-// checkpoint state already flushed, and returns ctx.Err().
+// shut down instead of blocking on their next task) and returns ctx.Err();
+// completions already journaled stay durable for a resumed run.
 func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize int, opts MasterOptions) ([]core.VoxelScore, error) {
 	if totalVoxels <= 0 || taskSize <= 0 {
 		return nil, fmt.Errorf("cluster: invalid partition %d voxels / %d per task", totalVoxels, taskSize)
@@ -226,7 +222,6 @@ func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize i
 		taskFails:   make(map[int]int),
 		taskAvoid:   make(map[int]map[int]bool),
 	}
-	cp := opts.Checkpoint
 	jn := opts.Journal
 	if jn != nil {
 		jn.attach(reg)
@@ -236,19 +231,13 @@ func RunMasterCtx(ctx context.Context, tr mpi.Transport, totalVoxels, taskSize i
 		if v0+v > totalVoxels {
 			v = totalVoxels - v0
 		}
-		if cp != nil && taskCovered(cp, v0, v) {
-			continue
-		}
-		if jn != nil && taskJournaled(jn, v0, v) {
+		if jn != nil && core.Covered(jn.completed, v0, v) {
 			// Journaled-complete ranges are never re-issued: the counter is
 			// what the recovery tests assert zero recomputation against.
 			reg.Counter("cluster_tasks_skipped_journaled_total").Inc()
 			continue
 		}
 		m.queue = append(m.queue, taskMsg{V0: v0, V: v})
-	}
-	if cp != nil {
-		m.addScores(cp.scores())
 	}
 	if jn != nil {
 		m.addScores(jn.Scores())
@@ -376,14 +365,7 @@ func (m *master) addScores(fresh []core.VoxelScore) {
 }
 
 // covered reports whether every voxel of the task has already been scored.
-func (m *master) covered(t taskMsg) bool {
-	for v := t.V0; v < t.V0+t.V; v++ {
-		if !m.seen[v] {
-			return false
-		}
-	}
-	return true
-}
+func (m *master) covered(t taskMsg) bool { return core.Covered(m.seen, t.V0, t.V) }
 
 func (m *master) live() int {
 	n := 0
@@ -471,19 +453,15 @@ func (m *master) handle(msg mpi.Message) error {
 				return fmt.Errorf("cluster: journaling completion: %w", err)
 			}
 		}
-		if cp := m.opts.Checkpoint; cp != nil {
-			if err := cp.record(res.Scores); err != nil {
-				return fmt.Errorf("cluster: recording checkpoint: %w", err)
-			}
-		}
 		m.addScores(res.Scores)
 		if m.opts.Chaos.TaskDone() {
 			return chaos.ErrKilled
 		}
-		if w.state == wsWorking {
-			m.endTaskSpan(w, "ok")
-			w.state = wsIdle
-			w.task = taskMsg{}
+		// Only the result of the rank's current task retires it: a late or
+		// duplicated result for an earlier task is deduplicated above and
+		// must not orphan the task the rank holds now.
+		if w.state == wsWorking && w.task.V0 == res.Task.V0 {
+			m.retire(w, "ok")
 		}
 		if w.state == wsIdle {
 			m.assign(msg.From, now)
@@ -527,6 +505,10 @@ func (m *master) onTick(now time.Time) error {
 // finishes first wins.
 func (m *master) speculate(slow int, w *workerInfo, now time.Time) {
 	if m.covered(w.task) {
+		// Another copy already scored the task. The rank's own result may
+		// have been lost, and then it waits for work that a wsWorking rank
+		// never gets: retire it so assignIdle hands it the next task.
+		m.retire(w, "superseded")
 		return
 	}
 	for rank, cand := range m.workers {
@@ -601,9 +583,7 @@ func (m *master) recordWorkerError(rank int, task taskMsg, detail string, now ti
 	w := m.workers[rank]
 	w.errors++
 	if w.state == wsWorking {
-		m.endTaskSpan(w, "error")
-		w.state = wsIdle
-		w.task = taskMsg{}
+		m.retire(w, "error")
 	}
 	if task.V > 0 && !m.covered(task) {
 		m.taskFails[task.V0]++
@@ -723,6 +703,14 @@ func (m *master) sendTask(rank int, w *workerInfo, t taskMsg, now time.Time) boo
 	w.span = span
 	w.since = now
 	return true
+}
+
+// retire returns a working rank to idle, ending its task span with the
+// given outcome.
+func (m *master) retire(w *workerInfo, outcome string) {
+	m.endTaskSpan(w, outcome)
+	w.state = wsIdle
+	w.task = taskMsg{}
 }
 
 // endTaskSpan retires the master-side span of w's outstanding task.
@@ -997,26 +985,4 @@ func RunWorkerCtx(ctx context.Context, tr mpi.Transport, proc TaskProcessor, opt
 			return fmt.Errorf("cluster: worker got unexpected %v", msg.Tag)
 		}
 	}
-}
-
-// taskCovered reports whether every voxel of the task is already in the
-// checkpoint.
-func taskCovered(cp *Checkpoint, v0, v int) bool {
-	for i := v0; i < v0+v; i++ {
-		if !cp.Has(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// taskJournaled reports whether every voxel of the task is recorded
-// complete in the journal.
-func taskJournaled(jn *Journal, v0, v int) bool {
-	for i := v0; i < v0+v; i++ {
-		if !jn.Has(i) {
-			return false
-		}
-	}
-	return true
 }

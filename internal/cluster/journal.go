@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"fcma/internal/chaos"
 	"fcma/internal/core"
@@ -15,21 +14,18 @@ import (
 // Journal is the master's write-ahead log: a binary, CRC-framed record of
 // task assignments, completions, and their merged result blocks. It is
 // what makes the *master* expendable the way PR 1 made workers
-// expendable — a restarted master (`fcma-cluster -resume`) replays the
-// journal, skips every voxel range already recorded complete, and
-// re-issues only in-flight work, so the resumed run's scores are
-// bit-exact with an uninterrupted one (completion records carry the raw
-// float64 bits, unlike the human-readable checkpoint CSV, which rounds).
+// expendable — a restarted master replays the journal, skips every voxel
+// range already recorded complete, and re-issues only in-flight work, so
+// the resumed run's scores are bit-exact with an uninterrupted one
+// (completion records carry the raw float64 bits).
 //
-// Layering: the Journal complements the existing Checkpoint rather than
-// replacing it. The checkpoint is the inspectable, portable artifact; the
-// journal is the recovery log. A master may run with either or both.
-//
-// The framing, atomic creation, and truncate-at-first-bad-frame recovery
-// live in internal/wal (extracted from this file so the job service's
-// journal shares them); this type owns only the record payloads and the
-// master's replay state. Completions are fsynced before the master acts
-// on them; assignments are advisory and unsynced.
+// Layering: the Journal is the master's only recovery log. The
+// framing, atomic creation, and truncate-at-first-bad-frame recovery
+// live in internal/wal, shared with the job service's journal; the
+// completed-range encoding (core.AppendRange) and the coverage rule
+// (core.Covered) are shared with it too. This type owns only the record
+// kinds and the master's replay state. Completions are fsynced before
+// the master acts on them; assignments are advisory and unsynced.
 type Journal struct {
 	log *wal.Log
 	reg *obs.Registry // attached by the master; nil-safe
@@ -88,18 +84,12 @@ func (j *Journal) apply(payload []byte) error {
 		}
 		j.assigns++
 	case jrComplete:
-		if len(payload) < 13 {
-			return fmt.Errorf("completion record of %d bytes", len(payload))
+		_, _, scores, err := core.DecodeRange(payload[1:])
+		if err != nil {
+			return fmt.Errorf("completion record: %w", err)
 		}
-		count := binary.LittleEndian.Uint32(payload[9:])
-		if len(payload) != 13+int(count)*12 {
-			return fmt.Errorf("completion record of %d bytes for %d scores", len(payload), count)
-		}
-		for i := 0; i < int(count); i++ {
-			p := payload[13+i*12:]
-			v := int(binary.LittleEndian.Uint32(p))
-			acc := bitsToFloat(binary.LittleEndian.Uint64(p[4:]))
-			j.completed[v] = acc
+		for _, sc := range scores {
+			j.completed[sc.Voxel] = sc.Accuracy
 		}
 		j.replayed++
 	default:
@@ -146,19 +136,11 @@ func (j *Journal) RecordAssign(v0, v, rank int) error {
 // (the raw float64 score bits) and fsyncs before returning: once the
 // master acts on a completion — acknowledging it, assigning the worker
 // new work — a crash must not forget it, or a resumed run would
-// recompute (and a checkpoint-round-tripped score could differ in the
-// low bits).
+// recompute the range.
 func (j *Journal) RecordComplete(v0, v int, scores []core.VoxelScore) error {
-	payload := make([]byte, 13+len(scores)*12)
+	payload := make([]byte, 1, 1+core.RangeSize(len(scores)))
 	payload[0] = jrComplete
-	binary.LittleEndian.PutUint32(payload[1:], uint32(v0))
-	binary.LittleEndian.PutUint32(payload[5:], uint32(v))
-	binary.LittleEndian.PutUint32(payload[9:], uint32(len(scores)))
-	for i, s := range scores {
-		p := payload[13+i*12:]
-		binary.LittleEndian.PutUint32(p, uint32(s.Voxel))
-		binary.LittleEndian.PutUint64(p[4:], floatToBits(s.Accuracy))
-	}
+	payload = core.AppendRange(payload, v0, v, scores)
 	if err := j.append(payload, true); err != nil {
 		return err
 	}
@@ -225,8 +207,3 @@ func (j *Journal) Remove() error { return j.log.Remove() }
 // SyncDir fsyncs the journal's directory, making its creation durable on
 // filesystems where the rename alone is not.
 func (j *Journal) SyncDir() error { return j.log.SyncDir() }
-
-// floatToBits and bitsToFloat isolate the raw-bit round trip the
-// journal's bit-exactness guarantee rests on.
-func floatToBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsToFloat(b uint64) float64 { return math.Float64frombits(b) }

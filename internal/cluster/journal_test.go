@@ -1,20 +1,25 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
 	"fcma/internal/chaos"
 	"fcma/internal/core"
+	"fcma/internal/mpi"
 )
 
 // TestJournalRoundTripBitExact proves completion records rehydrate with
 // the raw float64 bits intact — the property the resumed master's
-// bit-exactness guarantee rests on (and the one the %.6f checkpoint CSV
-// cannot give).
+// bit-exactness guarantee rests on (a decimal rendering would round).
 func TestJournalRoundTripBitExact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jnl")
 	j, err := OpenJournal(path)
@@ -234,20 +239,21 @@ func TestJournalCreateSurvivesRenameFault(t *testing.T) {
 	j.Close()
 }
 
-// TestCheckpointTornWriteThroughChaosFS is the satellite audit test: a
-// checkpoint append torn mid-record by chaosfs must error without
-// desynchronizing the in-memory index, and reopening must truncate the
-// torn line and resume from the last complete record.
+// TestCheckpointTornWriteThroughChaosFS covers the journal in its role as
+// the master's resume checkpoint: a completion append torn mid-record by
+// chaosfs must error without marking its voxels done in memory, and
+// reopening must drop the torn frame, keep the last complete record and
+// accept new appends.
 func TestCheckpointTornWriteThroughChaosFS(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.csv")
-	cp, err := OpenCheckpoint(path)
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.record([]core.VoxelScore{{Voxel: 0, Accuracy: 0.5}}); err != nil {
+	if err := j.RecordComplete(0, 1, []core.VoxelScore{{Voxel: 0, Accuracy: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,28 +261,215 @@ func TestCheckpointTornWriteThroughChaosFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := OpenCheckpointFS(plan.FS(chaos.OS()), path)
+	jc, err := OpenJournalFS(plan.FS(chaos.OS()), path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.record([]core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err == nil {
-		t.Fatal("torn checkpoint append reported success")
+	if err := jc.RecordComplete(1, 1, []core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err == nil {
+		t.Fatal("torn completion append reported success")
 	}
-	if cc.Has(1) {
-		t.Fatal("failed append still updated the in-memory index")
+	if jc.Has(1) {
+		t.Fatal("failed append still marked its voxels complete in memory")
 	}
-	cc.f.Close() // crash, no clean shutdown
+	jc.log.Abort() // crash, no clean shutdown
 
-	r, err := OpenCheckpoint(path)
+	r, err := OpenJournal(path)
 	if err != nil {
-		t.Fatalf("checkpoint with a torn tail must recover, got %v", err)
+		t.Fatalf("journal with a torn tail must recover, got %v", err)
 	}
 	defer r.Close()
 	if r.Done() != 1 || !r.Has(0) || r.Has(1) {
 		t.Fatalf("recovered done=%d; only the pre-tear voxel may survive", r.Done())
 	}
 	// And it must be appendable after recovery.
-	if err := r.record([]core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err != nil {
+	if err := r.RecordComplete(1, 1, []core.VoxelScore{{Voxel: 1, Accuracy: 0.75}}); err != nil {
 		t.Fatal(err)
+	}
+	if r.Done() != 2 || !r.Has(1) {
+		t.Fatalf("after post-recovery append done=%d, want 2", r.Done())
+	}
+}
+
+// goldenCompletionJournal is a master journal file as written by the
+// hand-rolled completion encoder that core.AppendRange replaced: the
+// magic, then one CRC frame holding a completion record for the task
+// [7,10) with scores 0.1+0.2, -0 and a NaN carrying a non-default payload.
+const goldenCompletionJournal = "46434d414a4e4c31" + // "FCMAJNL1"
+	"31000000" + "01d30deb" + // frame: payload length 49, CRC
+	"02" + "07000000" + "03000000" + "03000000" + // jrComplete, v0 7, v 3, count 3
+	"07000000" + "333333333333d33f" +
+	"08000000" + "0000000000000080" +
+	"09000000" + "efbeadde0000f87f"
+
+// TestCompletionRecordGoldenBytes pins the journal's on-disk format
+// across the move to the shared completed-range codec: the golden file
+// replays to the same voxels and raw float64 bits, and journaling those
+// scores again writes the same bytes.
+func TestCompletionRecordGoldenBytes(t *testing.T) {
+	golden, err := hex.DecodeString(goldenCompletionJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.VoxelScore{
+		{Voxel: 7, Accuracy: math.Float64frombits(0x3fd3333333333333)},
+		{Voxel: 8, Accuracy: math.Float64frombits(0x8000000000000000)},
+		{Voxel: 9, Accuracy: math.Float64frombits(0x7ff80000deadbeef)},
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "golden.jnl")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Truncated() || r.ReplayedCompletions() != 1 || r.Done() != len(want) {
+		t.Fatalf("replay: truncated=%v completions=%d done=%d", r.Truncated(), r.ReplayedCompletions(), r.Done())
+	}
+	for _, s := range want {
+		got, ok := r.completed[s.Voxel]
+		if !ok || math.Float64bits(got) != math.Float64bits(s.Accuracy) {
+			t.Fatalf("voxel %d replayed as %x (present %v), want bits %x",
+				s.Voxel, math.Float64bits(got), ok, math.Float64bits(s.Accuracy))
+		}
+	}
+
+	again := filepath.Join(dir, "again.jnl")
+	j, err := OpenJournal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.RecordComplete(7, 3, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("re-encoded journal differs:\n got %x\nwant %x", written, golden)
+	}
+}
+
+// crashAfterTasks is a worker that returns results for n tasks and then
+// drops its connection without a word, as a crashed node would.
+func crashAfterTasks(t *testing.T, tr mpi.Transport, w *core.Worker, n int) {
+	t.Helper()
+	defer tr.Close()
+	if err := tr.Send(0, mpi.TagReady, nil); err != nil {
+		t.Error(err)
+		return
+	}
+	for task := 0; task < n; task++ {
+		msg, err := tr.Recv()
+		if err != nil || msg.Tag != mpi.TagTask {
+			t.Errorf("task %d: %v %v", task, msg.Tag, err)
+			return
+		}
+		var tm taskMsg
+		if err := decode(msg.Body, &tm); err != nil {
+			t.Error(err)
+			return
+		}
+		scores, err := w.Process(core.Task{V0: tm.V0, V: tm.V})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := encode(resultMsg{Task: tm, Scores: scores})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tr.Send(0, mpi.TagResult, body); err != nil {
+			t.Error(err)
+			return
+		}
+	}
+}
+
+// TestJournaledResumeAfterWorkerLoss aborts an analysis partway — its only
+// worker dies after two tasks, so the master gives up with no live
+// workers — then resumes from the journal with a healthy worker. The
+// resumed run must compute only the two missing tasks and return scores
+// bit-exact with an uninterrupted run.
+func TestJournaledResumeAfterWorkerLoss(t *testing.T) {
+	st := testStack(t)
+	ref, err := mustWorker(t, st).Process(core.Task{V0: 0, V: st.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jnl")
+
+	jn, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := mpi.NewLocalComm(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustWorker(t, st)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		crashAfterTasks(t, comm.Rank(1), w, 2)
+	}()
+	_, err = RunMasterOpts(comm.Rank(0), st.N, 8, MasterOptions{Journal: jn})
+	wg.Wait()
+	if err == nil {
+		t.Fatal("phase 1 should abort when its only worker dies")
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn2.Close()
+	if jn2.Done() != 16 {
+		t.Fatalf("journal holds %d voxels after 2 tasks of 8, want 16", jn2.Done())
+	}
+	comm2, err := mpi.NewLocalComm(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var processed atomic.Int64
+	count := funcProcessor(func(task core.Task) ([]core.VoxelScore, error) {
+		processed.Add(1)
+		return w.Process(task)
+	})
+	var wg2 sync.WaitGroup
+	wg2.Add(1)
+	go func() {
+		defer wg2.Done()
+		if err := RunWorker(comm2.Rank(1), count); err != nil {
+			t.Error(err)
+		}
+	}()
+	scores, err := RunMasterOpts(comm2.Rank(0), st.N, 8, MasterOptions{Journal: jn2})
+	wg2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != st.N {
+		t.Fatalf("final scores = %d of %d", len(scores), st.N)
+	}
+	for i, s := range scores {
+		if s.Voxel != ref[i].Voxel || math.Float64bits(s.Accuracy) != math.Float64bits(ref[i].Accuracy) {
+			t.Fatalf("voxel %d: %+v, want bit-exact %+v", i, s, ref[i])
+		}
+	}
+	// 32 voxels / 8 per task = 4 tasks; 2 were journaled complete.
+	if n := processed.Load(); n != 2 {
+		t.Fatalf("resume processed %d tasks, want 2 (skip journaled)", n)
 	}
 }

@@ -51,7 +51,7 @@ func (h *recoveryHarness) freeze(jn *Journal, totalVoxels, taskSize int) map[int
 		if v0+v > totalVoxels {
 			v = totalVoxels - v0
 		}
-		if taskJournaled(jn, v0, v) {
+		if core.Covered(jn.completed, v0, v) {
 			f[v0] = true
 		}
 	}

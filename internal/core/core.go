@@ -8,7 +8,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"fcma/internal/blas"
@@ -127,6 +129,62 @@ type VoxelScore struct {
 	// Accuracy is the cross-validated classification accuracy of the
 	// voxel's correlation vectors, in [0, 1].
 	Accuracy float64
+}
+
+// AppendRange appends the durable record of a completed voxel range
+// [v0, v0+v) and its scores, the one encoding both the cluster master's
+// journal and the analysis service's journal write after their own
+// record prefixes (little-endian):
+//
+//	v0 u32 | v u32 | count u32 | {voxel u32, accuracy float64 bits u64}×count
+//
+// Accuracies travel as raw float64 bits, so a replayed range is
+// bit-identical to the computed one.
+func AppendRange(dst []byte, v0, v int, scores []VoxelScore) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v0))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(scores)))
+	for _, s := range scores {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Voxel))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Accuracy))
+	}
+	return dst
+}
+
+// RangeSize is the length AppendRange adds for n scores.
+func RangeSize(n int) int { return 12 + 12*n }
+
+// DecodeRange parses one AppendRange record, which must fill p exactly.
+func DecodeRange(p []byte) (v0, v int, scores []VoxelScore, err error) {
+	if len(p) < RangeSize(0) {
+		return 0, 0, nil, fmt.Errorf("range record of %d bytes", len(p))
+	}
+	count := int(binary.LittleEndian.Uint32(p[8:]))
+	if len(p) != RangeSize(count) {
+		return 0, 0, nil, fmt.Errorf("range record of %d bytes for %d scores", len(p), count)
+	}
+	scores = make([]VoxelScore, count)
+	for i := range scores {
+		q := p[RangeSize(i):]
+		scores[i] = VoxelScore{
+			Voxel:    int(binary.LittleEndian.Uint32(q)),
+			Accuracy: math.Float64frombits(binary.LittleEndian.Uint64(q[4:])),
+		}
+	}
+	return int(binary.LittleEndian.Uint32(p)), int(binary.LittleEndian.Uint32(p[4:])), scores, nil
+}
+
+// Covered reports whether every voxel of [v0, v0+v) has an entry in
+// scored: the rule by which a resumed or retried run skips a range as
+// already done. It is per voxel, so a range journaled under a different
+// partition is never skipped while any of its voxels lacks a score.
+func Covered[T any](scored map[int]T, v0, v int) bool {
+	for i := v0; i < v0+v; i++ {
+		if _, ok := scored[i]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Worker processes tasks against one dataset's epoch stack.

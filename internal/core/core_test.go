@@ -253,3 +253,32 @@ func TestWithTuningZeroValueIsNoOp(t *testing.T) {
 		t.Fatalf("zero tuning must leave kernel blocks zero: %+v", g)
 	}
 }
+
+// TestDecodeRangeChecksLength: a range record must hold exactly the
+// scores its count announces; a short or padded record is refused, not
+// half-replayed.
+func TestDecodeRangeChecksLength(t *testing.T) {
+	rec := AppendRange(nil, 4, 2, []VoxelScore{{Voxel: 4, Accuracy: 0.5}, {Voxel: 5, Accuracy: 0.25}})
+	if v0, v, scores, err := DecodeRange(rec); err != nil || v0 != 4 || v != 2 || len(scores) != 2 || scores[1] != (VoxelScore{5, 0.25}) {
+		t.Fatalf("DecodeRange = %d, %d, %v, %v", v0, v, scores, err)
+	}
+	for _, bad := range [][]byte{rec[:5], rec[:len(rec)-1], append(rec, 0)} {
+		if _, _, _, err := DecodeRange(bad); err == nil {
+			t.Fatalf("DecodeRange accepted a %d-byte record for 2 scores", len(bad))
+		}
+	}
+}
+
+// TestCoveredIsPerVoxel: a range counts as done only when every voxel in
+// it has a score, however the scores were partitioned when recorded.
+func TestCoveredIsPerVoxel(t *testing.T) {
+	scored := map[int]float64{0: 1, 1: 1, 2: 1, 3: 1, 5: 1}
+	for _, c := range []struct {
+		v0, v int
+		want  bool
+	}{{0, 4, true}, {2, 2, true}, {0, 8, false}, {4, 2, false}, {5, 1, true}, {9, 0, true}} {
+		if got := Covered(scored, c.v0, c.v); got != c.want {
+			t.Errorf("Covered([%d,%d)) = %v, want %v", c.v0, c.v0+c.v, got, c.want)
+		}
+	}
+}

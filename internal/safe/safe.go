@@ -112,6 +112,17 @@ type Span struct {
 	Base int
 }
 
+// startLane opens the span a parallel driver's pool goroutine wraps its
+// items in. It is named for the stage plus "#lane" ("svm/cv#lane" holds
+// "svm/cv" item spans), so the stage's own name counts its items and
+// nothing else. Without a tracer it costs one context lookup.
+func (s Span) startLane(ctx context.Context) (context.Context, *trace.Active) {
+	if trace.FromContext(ctx) == nil {
+		return ctx, nil
+	}
+	return trace.StartWorkerSpan(ctx, s.Stage+"#lane")
+}
+
 // err wraps an item failure; a panic is already a *PipelineError.
 func (s Span) err(i int, cause error) error {
 	if pe, ok := cause.(*PipelineError); ok {
@@ -175,10 +186,10 @@ func cancelled(ctx context.Context) error {
 //
 // The ctx handed to each item is the spawning goroutine's tracing
 // context: when the caller's ctx carries a tracer, every pool goroutine
-// opens a span of the stage's name on its own timeline lane (one tid per
-// worker goroutine) and items started from it nest there, so the merged
-// trace shows per-goroutine occupancy. With tracing disabled the drivers
-// add one context poll per goroutine and nothing else.
+// opens a lane span (the stage's name + "#lane") on its own timeline row
+// (one tid per worker goroutine) and items started from it nest there, so
+// the merged trace shows per-goroutine occupancy. With tracing disabled
+// the drivers add one context poll per goroutine and nothing else.
 //
 // Every item runs with panic containment; the first failure (by item
 // index) is returned as a *PipelineError after all goroutines have
@@ -230,7 +241,7 @@ func ParallelDynamic(ctx context.Context, span Span, n, workers int, fn func(ctx
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := span.startLane(ctx)
 			defer gsp.End()
 			for {
 				if cancelled(ctx) != nil || fe.get() != nil {
@@ -286,7 +297,7 @@ func ParallelChunks(ctx context.Context, span Span, n, workers int, fn func(ctx 
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := span.startLane(ctx)
 			defer gsp.End()
 			for i := s; i < e; i++ {
 				if cancelled(ctx) != nil || fe.get() != nil {
@@ -339,7 +350,7 @@ func ParallelRanges(ctx context.Context, span Span, n, workers int, fn func(ctx 
 			if cancelled(ctx) != nil {
 				return
 			}
-			gctx, gsp := trace.StartWorkerSpan(ctx, span.Stage)
+			gctx, gsp := span.startLane(ctx)
 			defer gsp.End()
 			defer func() {
 				if pe := Recovered(span.Stage, span.Base+s, e-s, recover()); pe != nil {

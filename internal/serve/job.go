@@ -174,11 +174,9 @@ type Job struct {
 	// Attempts counts execution attempts (for status reporting).
 	Attempts int
 
-	// scores accumulates journaled per-voxel accuracies; chunks marks
-	// which task ranges (keyed by V0) are already durable, so a resumed
-	// or retried job skips them.
+	// scores accumulates journaled per-voxel accuracies; a resumed or
+	// retried job skips every chunk they cover (core.Covered).
 	scores map[int]float64
-	chunks map[int]bool
 	// totalVoxels is the brain size once known (0 before the first
 	// attempt resolves the dataset).
 	totalVoxels int
@@ -236,13 +234,9 @@ func (j *Job) mergeChunk(v0, v int, scores []core.VoxelScore) {
 	if j.scores == nil {
 		j.scores = make(map[int]float64)
 	}
-	if j.chunks == nil {
-		j.chunks = make(map[int]bool)
-	}
 	for _, s := range scores {
 		j.scores[s.Voxel] = s.Accuracy
 	}
-	j.chunks[v0] = true
 	if v0+v > j.totalVoxels {
 		j.totalVoxels = v0 + v
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -240,10 +242,81 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if job == nil {
 		t.Fatal("accept record lost")
 	}
-	if !job.chunks[0] || job.chunks[3] {
-		t.Fatalf("chunks after torn replay = %v, want only v0=0", job.chunks)
+	// Only the first record's voxels survive; both records scored
+	// voxels 0-2, so the torn second one leaves [3,6) uncovered.
+	if !core.Covered(job.scores, 0, 3) || core.Covered(job.scores, 3, 3) {
+		t.Fatalf("scores after torn replay = %v, want exactly voxels 0-2", job.scores)
 	}
 	if n := reg.Counter("serve_journal_torn_recoveries_total").Value(); n != 1 {
 		t.Fatalf("torn recoveries = %d, want 1", n)
+	}
+}
+
+// goldenProgressJournal is a service journal file as written by the
+// hand-rolled progress encoder that core.AppendRange replaced: the magic,
+// an accept record for job-00000005, then a progress record for its
+// chunk [4,7) with scores 0.1+0.2, -0 and a NaN carrying a non-default
+// payload.
+const goldenProgressJournal = "46434d4153525631" + // "FCMASRV1"
+	"38000000" + "fe168a5f" + // accept frame: length 56, CRC
+	"01" + "7b226964223a226a6f622d3030303030303035222c2273706563223a7b2273796e746865746963223a22666163652d7363656e65227d7d" +
+	"41000000" + "408b49f9" + // progress frame: length 65, CRC
+	"03" + "0c000000" + "6a6f622d3030303030303035" + // srProgress, id length 12, id
+	"04000000" + "03000000" + "03000000" + // v0 4, v 3, count 3
+	"04000000" + "333333333333d33f" +
+	"05000000" + "0000000000000080" +
+	"06000000" + "efbeadde0000f87f"
+
+// TestProgressRecordGoldenBytes pins the service journal's on-disk
+// format across the move to the shared completed-range codec: the golden
+// file replays to the same voxels and raw float64 bits, and journaling
+// the same job again writes the same bytes.
+func TestProgressRecordGoldenBytes(t *testing.T) {
+	golden, err := hex.DecodeString(goldenProgressJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.VoxelScore{
+		{Voxel: 4, Accuracy: math.Float64frombits(0x3fd3333333333333)},
+		{Voxel: 5, Accuracy: math.Float64frombits(0x8000000000000000)},
+		{Voxel: 6, Accuracy: math.Float64frombits(0x7ff80000deadbeef)},
+	}
+	path := jnlPath(t)
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, path, nil)
+	job := r.jobs["job-00000005"]
+	if r.log.Truncated() || job == nil || job.progress() != len(want) || job.totalVoxels != 7 {
+		t.Fatalf("replay: truncated=%v job=%+v", r.log.Truncated(), job)
+	}
+	for _, s := range want {
+		got, ok := job.scores[s.Voxel]
+		if !ok || math.Float64bits(got) != math.Float64bits(s.Accuracy) {
+			t.Fatalf("voxel %d replayed as %x (present %v), want bits %x",
+				s.Voxel, math.Float64bits(got), ok, math.Float64bits(s.Accuracy))
+		}
+	}
+	if err := r.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := jnlPath(t)
+	j := mustOpen(t, again, nil)
+	if err := j.recordAccept("job-00000005", JobSpec{Synthetic: "face-scene"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.recordProgress("job-00000005", 4, 3, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("re-encoded journal differs:\n got %x\nwant %x", written, golden)
 	}
 }

@@ -130,10 +130,11 @@ func (s *Service) retrySeed(id string) int64 {
 }
 
 // attempt runs one execution pass over the job's voxel chunks, skipping
-// every chunk the journal already holds — the incremental core of both
-// crash resume and retry. Pipeline metrics land on a per-attempt registry
-// so the model ledger can read this job's stage times in isolation; the
-// registry is folded into MetricsSnapshot's accumulated view either way.
+// every chunk whose voxels all have journaled scores — the incremental
+// core of both crash resume and retry. Pipeline metrics land on a
+// per-attempt registry so the model ledger can read this job's stage
+// times in isolation; the registry is folded into MetricsSnapshot's
+// accumulated view either way.
 func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 	ds, err := s.store.Get(spec)
 	if err != nil {
@@ -171,7 +172,7 @@ func (s *Service) attempt(ctx context.Context, job *Job, spec JobSpec) error {
 	for v0 := 0; v0 < stack.N; v0 += chunk {
 		n := min(chunk, stack.N-v0)
 		s.mu.Lock()
-		done := job.chunks[v0]
+		done := core.Covered(job.scores, v0, n)
 		s.mu.Unlock()
 		if done {
 			s.reg.Counter("serve_chunks_skipped_journaled_total").Inc()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"fcma/internal/chaos"
 	"fcma/internal/fmri"
 )
 
@@ -293,6 +295,79 @@ func TestRestartResumesJobs(t *testing.T) {
 	for _, id := range ids {
 		if id3 == id {
 			t.Fatalf("resumed server reissued job id %s", id3)
+		}
+	}
+}
+
+// TestResumeWithLargerChunks proves a job journaled at one chunk size
+// resumes correctly at a larger one. The first server is killed after
+// journaling chunk [0,4); the second resumes with 8-voxel chunks, so its
+// first chunk [0,8) is only half journaled and must be computed, not
+// skipped. Every voxel ends scored, bit-identical to an uninterrupted run.
+func TestResumeWithLargerChunks(t *testing.T) {
+	blob := tinyBlob(t)
+	runToDone := func(s *Service, id string) map[int]uint64 {
+		t.Helper()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		waitState(t, ts.URL, id, StateDone, 30*time.Second)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		bits := make(map[int]uint64)
+		for _, sc := range s.jobs[id].result {
+			bits[sc.Voxel] = math.Float64bits(sc.Accuracy)
+		}
+		return bits
+	}
+
+	ref := newTestService(t, Options{ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	hash, err := ref.store.Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refID, err := ref.Submit(context.Background(), JobSpec{Dataset: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runToDone(ref, refID)
+
+	dir := t.TempDir()
+	plan, err := chaos.NewPlan(chaos.Config{Seed: 1, KillTasks: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := New(Options{Dir: dir, ChunkVoxels: 4, Executors: 1, RetrySeed: 1, Chaos: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.store.Put(blob); err != nil {
+		t.Fatal(err)
+	}
+	id, err := first.Submit(context.Background(), JobSpec{Dataset: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !first.Killed(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("chaos kill after the first chunk never fired")
+		}
+	}
+	_ = first.Close() // kill path: journal already abandoned
+
+	second := newTestService(t, Options{Dir: dir, ChunkVoxels: 8, Executors: 1, RetrySeed: 1})
+	second.mu.Lock()
+	journaled := second.jobs[id].progress()
+	second.mu.Unlock()
+	if journaled != 4 {
+		t.Fatalf("replayed job has %d journaled voxels, want the 4 of chunk [0,4)", journaled)
+	}
+	got := runToDone(second, id)
+	if len(got) != len(want) || len(want) != 24 {
+		t.Fatalf("resumed job scored %d voxels, uninterrupted run %d; want 24", len(got), len(want))
+	}
+	for v, bits := range want {
+		if got[v] != bits {
+			t.Fatalf("voxel %d: resumed %x, uninterrupted %x", v, got[v], bits)
 		}
 	}
 }
